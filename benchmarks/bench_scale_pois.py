@@ -217,7 +217,6 @@ def run_scale_profile() -> dict:
         dropout=0.0,
         quadkey_level=12,
         quadkey_ngram=4,
-        fused=True,
     )
     model = STiSAN(ds.num_pois, ds.poi_coords, cfg, rng=np.random.default_rng(7))
     model_build_s = time.perf_counter() - t0
@@ -533,7 +532,6 @@ def run_metric_parity() -> dict:
         dropout=0.0,
         quadkey_level=14,
         quadkey_ngram=4,
-        fused=True,
     )
     model = STiSAN(ds.num_pois, ds.poi_coords, cfg, rng=np.random.default_rng(3))
     model.eval()

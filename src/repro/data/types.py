@@ -71,6 +71,16 @@ class CheckInDataset:
         self.poi_coords = np.asarray(self.poi_coords, dtype=np.float64)
         if self.poi_coords.ndim != 2 or self.poi_coords.shape[1] != 2:
             raise ValueError(f"poi_coords must be (n, 2), got {self.poi_coords.shape}")
+        # Rows 1..P only: row 0 is the padding POI.  NaN fails both
+        # comparisons, so non-finite rows are rejected too.
+        lat, lon = self.poi_coords[1:, 0], self.poi_coords[1:, 1]
+        bad = np.flatnonzero(~((np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)))
+        if bad.size:
+            poi = int(bad[0]) + 1
+            raise ValueError(
+                f"POI {poi} has coordinates {tuple(self.poi_coords[poi].tolist())}; "
+                "need finite lat in [-90, 90] and lon in [-180, 180]"
+            )
 
     # ------------------------------------------------------------------
     @property

@@ -751,15 +751,14 @@ class FusedAttentionRoutingRule:
     rule_id = "REPRO-FUSED"
     description = (
         "Attention in the model layer (core/) must route through "
-        "repro.nn.fused so the fused/reference toggle stays the single "
-        "switch; a hand-rolled 'q @ k.transpose()' chain silently forks "
-        "the execution path (reference legs of the equivalence contract "
-        "suppress with a justification)."
+        "repro.nn.fused so the fused kernels stay the single execution "
+        "path; a hand-rolled 'q @ k.transpose()' chain silently forks it "
+        "and escapes the kernels' equivalence and gradcheck tests."
     )
     severity = "error"
     family = "performance"
     semantic = False
-    example = "scores = q @ k.transpose(0, 2, 1)   # flagged: bypasses fused toggle"
+    example = "scores = q @ k.transpose(0, 2, 1)   # flagged: bypasses the fused kernel"
 
     #: methods/functions that transpose an operand for a score matmul.
     _TRANSPOSERS = frozenset({"transpose", "swapaxes"})
@@ -788,8 +787,8 @@ class FusedAttentionRoutingRule:
                         module, node, self.rule_id,
                         "hand-rolled attention score chain "
                         "('x @ y.transpose()') in core/; call "
-                        "repro.nn.fused.fused_causal_attention so the "
-                        "fused/reference toggle covers this site",
+                        "repro.nn.fused.fused_causal_attention so this "
+                        "site runs on the tested kernel",
                     )
                 )
         return findings

@@ -1,6 +1,6 @@
 """Fused execution kernels for the numpy autograd engine.
 
-The reference model builds attention out of ~10 primitive autograd ops
+Built from primitive autograd ops, attention is a chain of ~10
 (``q @ k.T``, scale, relation add, mask, softmax, value aggregation),
 each allocating fresh intermediates and a Python closure.  At STiSAN's
 paper config the N=4 IAAB blocks dominate training cost, and most of it
@@ -27,7 +27,7 @@ Equivalence contract (enforced by ``tests/test_fused.py``):
 - **forward is bitwise identical** to the reference chain — the same
   numpy operations are applied in the same order with the same
   float32 scalars, so golden fixtures and cached serving outputs are
-  unchanged by the ``fused`` toggle;
+  reproduced exactly;
 - **backward matches within 1e-6** — the hand-derived gradients are
   the same math but evaluated in a fused order, so individual GEMMs
   may round differently in the last ulp.
@@ -36,14 +36,14 @@ Scratch intermediates come from the gradient arena when one is
 installed (see :class:`repro.nn.tensor.GradArena`); op outputs and
 parameter gradients are always ordinary arrays.
 
-The module-level default (``fused_default()``) is **on**; it can be
-flipped for a whole process with ``REPRO_FUSED=0`` or per-model via
-``STiSANConfig(fused=False)``.
+These kernels are the only attention and LayerNorm path.  Model code
+calls them through the module attribute (``fused.layer_norm(...)``),
+so the equivalence tests can swap in the reference chain
+(``tests/reference_kernels.py``) without a runtime switch.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -54,28 +54,10 @@ __all__ = [
     "fused_causal_attention",
     "layer_norm",
     "layer_norm_residual",
-    "fused_default",
-    "set_fused_default",
 ]
 
 #: Matches repro.nn.attention.NEG_INF (not imported to avoid a cycle).
 _NEG_INF = np.float32(-1e9)
-
-_default: bool = os.environ.get("REPRO_FUSED", "").strip() not in ("0", "false")
-
-
-def fused_default() -> bool:
-    """Process-wide default for the ``fused`` toggles (env ``REPRO_FUSED``)."""
-    return _default
-
-
-def set_fused_default(enabled: bool) -> bool:
-    """Set the process-wide fused default; returns the previous value."""
-    global _default
-    previous = _default
-    _default = bool(enabled)
-    return previous
-
 
 def fused_causal_attention(
     q: Tensor,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.data import (
     CheckIn,
+    CheckInDataset,
     PreprocessConfig,
     UserSequence,
     WorldConfig,
@@ -65,6 +66,23 @@ class TestCheckInDataset:
         assert ds.num_pois == 2
         assert set(ds.sequences) == {1, 2}
         np.testing.assert_array_equal(ds.sequences[1].pois, [1, 2])
+
+    @pytest.mark.parametrize("bad", [
+        (np.nan, 10.0),
+        (10.0, np.nan),
+        (np.inf, 10.0),
+        (10.0, -np.inf),
+        (90.5, 10.0),
+        (10.0, -180.5),
+    ])
+    def test_rejects_invalid_coordinates(self, bad):
+        coords = np.array([[0.0, 0.0], [43.0, 125.0], bad, [91.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^POI 2 "):
+            CheckInDataset(name="bad", poi_coords=coords)
+
+    def test_accepts_padding_row_and_antimeridian(self):
+        coords = np.array([[0.0, 0.0], [-90.0, 180.0], [90.0, -180.0]])
+        assert CheckInDataset(name="edges", poi_coords=coords).num_pois == 2
 
 
 class TestSyntheticGenerator:

@@ -11,14 +11,18 @@ The fused execution layer's contract (module docstring of
   their ``state_dict``s are interchangeable (checkpoint compatibility);
 - the gradient arena changes buffer provenance only, never values.
 
-The suite drives both legs over random shapes, padding masks,
-multi-head splits, dropout in train and eval mode, and with
-anomaly-mode graph checking enabled, then closes with the end-to-end
-guards: the committed golden top-10 fixture must be reproduced by the
-*reference* leg too (the fused leg is covered by
-``test_golden_regression``), and kill-and-resume must stay bitwise
-with fusion pinned on.
+The reference leg is the primitive op chain of
+``tests/reference_kernels.py``, swapped into :mod:`repro.nn.fused` for
+the duration of the leg; the fused leg runs the shipped kernels.  The
+suite drives both legs over random shapes, padding masks, multi-head
+splits, dropout in train and eval mode, and with anomaly-mode graph
+checking enabled, then closes with the end-to-end guards: the committed
+golden top-10 fixture must be reproduced by the *reference* leg too
+(the fused leg is covered by ``test_golden_regression``), and
+kill-and-resume must stay bitwise on the fused kernels.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -31,15 +35,21 @@ from repro.core.taad import TargetAwareAttentionDecoder, step_causal_mask
 from repro.core.trainer import train_stisan
 from repro.data import partition
 from repro.faults import SimulatedCrash, fault_injection
-from repro.nn import anomaly_mode
+from repro.nn import anomaly_mode, fused
 from repro.nn.attention import causal_mask, scaled_dot_product_attention
-from repro.nn.fused import fused_default, set_fused_default
+from repro.nn.layers import LayerNorm
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam, FlatAdam
 from repro.nn.tensor import Tensor, grad_arena
+from tests.reference_kernels import reference_causal_attention, reference_kernels
 
 BACKWARD_ATOL = 1e-6
 BACKWARD_RTOL = 1e-5
+
+
+def _leg(reference):
+    """The reference leg runs under the oracle, the fused leg as shipped."""
+    return reference_kernels() if reference else nullcontext()
 
 
 def _attention_case(seed):
@@ -66,14 +76,15 @@ def _attention_case(seed):
     return q, k, v, bias, mask, upstream
 
 
-def _run_attention_leg(case, fused):
+def _run_attention_leg(case, reference=False):
     q_arr, k_arr, v_arr, bias_arr, mask, upstream = case
     q = Tensor(q_arr.copy(), requires_grad=True)
     k = Tensor(k_arr.copy(), requires_grad=True)
     v = Tensor(v_arr.copy(), requires_grad=True)
     bias = None if bias_arr is None else Tensor(bias_arr.copy(), requires_grad=True)
-    out = scaled_dot_product_attention(q, k, v, mask=mask, bias=bias, fused=fused)
-    (out * Tensor(upstream)).sum().backward()
+    with _leg(reference):
+        out = scaled_dot_product_attention(q, k, v, mask=mask, bias=bias)
+        (out * Tensor(upstream)).sum().backward()
     grads = [q.grad, k.grad, v.grad] + ([] if bias is None else [bias.grad])
     return out.data, grads
 
@@ -82,8 +93,8 @@ class TestFusedAttentionProperty:
     @pytest.mark.parametrize("seed", range(12))
     def test_forward_bitwise_backward_close(self, seed):
         case = _attention_case(seed)
-        ref_out, ref_grads = _run_attention_leg(case, fused=False)
-        fus_out, fus_grads = _run_attention_leg(case, fused=True)
+        ref_out, ref_grads = _run_attention_leg(case, reference=True)
+        fus_out, fus_grads = _run_attention_leg(case)
         assert np.array_equal(fus_out, ref_out), "fused forward is not bitwise"
         for name, rg, fg in zip("qkv b", ref_grads, fus_grads):
             np.testing.assert_allclose(
@@ -95,11 +106,12 @@ class TestFusedAttentionProperty:
         case = _attention_case(4)
         q, k, v, bias_arr, mask, _ = case
         args = dict(mask=mask, bias=None if bias_arr is None else Tensor(bias_arr))
-        ref_out, ref_w = scaled_dot_product_attention(
-            Tensor(q), Tensor(k), Tensor(v), return_weights=True, fused=False, **args
-        )
+        with reference_kernels():
+            ref_out, ref_w = scaled_dot_product_attention(
+                Tensor(q), Tensor(k), Tensor(v), return_weights=True, **args
+            )
         fus_out, fus_w = scaled_dot_product_attention(
-            Tensor(q), Tensor(k), Tensor(v), return_weights=True, fused=True, **args
+            Tensor(q), Tensor(k), Tensor(v), return_weights=True, **args
         )
         assert np.array_equal(fus_out.data, ref_out.data)
         assert np.array_equal(fus_w, ref_w)
@@ -108,7 +120,7 @@ class TestFusedAttentionProperty:
         """The fused ops must pass the autograd sanitizer end to end."""
         case = _attention_case(6)
         with anomaly_mode():
-            out_data, grads = _run_attention_leg(case, fused=True)
+            out_data, grads = _run_attention_leg(case)
         assert np.isfinite(out_data).all()
         for g in grads:
             assert np.isfinite(g).all()
@@ -116,8 +128,8 @@ class TestFusedAttentionProperty:
 
 def _paired_modules(factory, seed=3):
     """Build (reference, fused) instances with identical weights/RNG."""
-    ref = factory(rng=np.random.default_rng(seed), fused=False)
-    fus = factory(rng=np.random.default_rng(seed), fused=True)
+    ref = factory(rng=np.random.default_rng(seed))
+    fus = factory(rng=np.random.default_rng(seed))
     return ref, fus
 
 
@@ -132,6 +144,26 @@ def _param_grads_close(ref_mod, fus_mod):
             fp.grad, rp.grad, atol=BACKWARD_ATOL, rtol=BACKWARD_RTOL,
             err_msg=f"parameter {i} gradient diverged",
         )
+
+
+class TestOracle:
+    def test_swaps_kernels_and_restores_them(self):
+        shipped = (fused.fused_causal_attention, fused.layer_norm, fused.layer_norm_residual)
+        with pytest.raises(RuntimeError):
+            with reference_kernels():
+                assert fused.fused_causal_attention is reference_causal_attention
+                raise RuntimeError("leg failed")
+        assert (fused.fused_causal_attention, fused.layer_norm,
+                fused.layer_norm_residual) == shipped
+
+    def test_reference_leg_runs_the_op_chain(self):
+        """Modules reach the kernels through the module attribute, so
+        the oracle really replaces the one-op kernel inside a model."""
+        norm = LayerNorm(4)
+        x = Tensor(np.ones((2, 4), dtype=np.float32), requires_grad=True)
+        assert any(p is x for p in norm(x)._parents)
+        with reference_kernels():
+            assert not any(p is x for p in norm(x)._parents)
 
 
 class TestModuleEquivalence:
@@ -151,10 +183,11 @@ class TestModuleEquivalence:
         (fus.train() if train else fus.eval())
         xr = Tensor(x_arr.copy(), requires_grad=True)
         xf = Tensor(x_arr.copy(), requires_grad=True)
-        out_r = forward(ref, xr)
+        with reference_kernels():
+            out_r = forward(ref, xr)
+            (out_r * Tensor(upstream)).sum().backward()
         out_f = forward(fus, xf)
         assert np.array_equal(out_f.data, out_r.data), "module forward not bitwise"
-        (out_r * Tensor(upstream)).sum().backward()
         (out_f * Tensor(upstream)).sum().backward()
         np.testing.assert_allclose(
             xf.grad, xr.grad, atol=BACKWARD_ATOL, rtol=BACKWARD_RTOL
@@ -165,8 +198,8 @@ class TestModuleEquivalence:
     def test_iaab_layer(self, num_heads):
         _, bias, mask, _ = self._inputs()
         ref, fus = _paired_modules(
-            lambda rng, fused: IntervalAwareAttentionLayer(
-                self.DIM, num_heads=num_heads, rng=rng, fused=fused
+            lambda rng: IntervalAwareAttentionLayer(
+                self.DIM, num_heads=num_heads, rng=rng
             )
         )
         self._compare(ref, fus, lambda m, x: m(x, bias, mask))
@@ -176,8 +209,8 @@ class TestModuleEquivalence:
         stream in both legs, so train mode stays bitwise too."""
         _, bias, mask, _ = self._inputs()
         ref, fus = _paired_modules(
-            lambda rng, fused: IntervalAwareAttentionLayer(
-                self.DIM, dropout=0.4, rng=rng, fused=fused
+            lambda rng: IntervalAwareAttentionLayer(
+                self.DIM, dropout=0.4, rng=rng
             )
         )
         self._compare(ref, fus, lambda m, x: m(x, bias, mask), train=True)
@@ -185,8 +218,8 @@ class TestModuleEquivalence:
     def test_iaab_block(self):
         _, bias, mask, _ = self._inputs()
         ref, fus = _paired_modules(
-            lambda rng, fused: IntervalAwareAttentionBlock(
-                self.DIM, hidden_dim=24, dropout=0.3, rng=rng, fused=fused
+            lambda rng: IntervalAwareAttentionBlock(
+                self.DIM, hidden_dim=24, dropout=0.3, rng=rng
             )
         )
         self._compare(ref, fus, lambda m, x: m(x, bias, mask), train=True)
@@ -199,11 +232,12 @@ class TestModuleEquivalence:
         mask = step_causal_mask(q, n)[None]
         upstream = rng.standard_normal((b, q, c, self.DIM)).astype(np.float32)
         outs, grads = [], []
-        for fused in (False, True):
-            dec = TargetAwareAttentionDecoder(self.DIM, fused=fused)
+        for reference in (True, False):
+            dec = TargetAwareAttentionDecoder(self.DIM)
             enc = Tensor(enc_arr.copy(), requires_grad=True)
-            s = dec(Tensor(cand.copy(), requires_grad=True), enc, attend_mask=mask)
-            (s * Tensor(upstream)).sum().backward()
+            with _leg(reference):
+                s = dec(Tensor(cand.copy(), requires_grad=True), enc, attend_mask=mask)
+                (s * Tensor(upstream)).sum().backward()
             outs.append(s.data)
             grads.append(enc.grad)
         assert np.array_equal(outs[1], outs[0]), "TAAD forward not bitwise"
@@ -215,10 +249,10 @@ class TestModuleEquivalence:
 class TestArenaEquivalence:
     def test_arena_changes_nothing(self):
         case = _attention_case(7)
-        bare_out, bare_grads = _run_attention_leg(case, fused=True)
+        bare_out, bare_grads = _run_attention_leg(case)
         with grad_arena() as arena:
             for _ in range(3):  # later iterations recycle pooled buffers
-                pooled_out, pooled_grads = _run_attention_leg(case, fused=True)
+                pooled_out, pooled_grads = _run_attention_leg(case)
                 arena.reset()
         assert arena.hits > 0, "arena was never actually recycled"
         assert np.array_equal(pooled_out, bare_out)
@@ -327,14 +361,13 @@ MAX_LEN = 10
 
 
 def _stisan_pair(dataset, dropout=0.3):
-    def build(fused):
+    def build():
         cfg = STiSANConfig.small(
-            max_len=MAX_LEN, poi_dim=8, geo_dim=8, num_blocks=2,
-            dropout=dropout, fused=fused,
+            max_len=MAX_LEN, poi_dim=8, geo_dim=8, num_blocks=2, dropout=dropout,
         )
         return STiSAN(dataset.num_pois, dataset.poi_coords, cfg,
                       rng=np.random.default_rng(5))
-    return build(False), build(True)
+    return build(), build()
 
 
 @pytest.mark.slow
@@ -346,7 +379,7 @@ class TestModelLevelEquivalence:
         train, _ = partition(micro_dataset, n=MAX_LEN)
         ref, fus = _stisan_pair(micro_dataset)
         losses, grads = [], []
-        for model in (ref, fus):
+        for model, reference in ((ref, True), (fus, False)):
             rng = np.random.default_rng(0)
             sampler = NearestNegativeSampler(
                 micro_dataset, num_negatives=3, pool_size=20, rng=rng
@@ -354,11 +387,12 @@ class TestModelLevelEquivalence:
             iterator = BatchIterator(train, batch_size=4, sampler=sampler, rng=rng)
             batch = next(iterator.iter_order(iterator.epoch_order()))
             model.train()
-            pos, neg = model.forward_train(
-                batch.src, batch.times, batch.tgt, batch.negatives
-            )
-            loss = weighted_bce_loss(pos, neg, batch.target_mask, temperature=1.0)
-            loss.backward()
+            with _leg(reference):
+                pos, neg = model.forward_train(
+                    batch.src, batch.times, batch.tgt, batch.negatives
+                )
+                loss = weighted_bce_loss(pos, neg, batch.target_mask, temperature=1.0)
+                loss.backward()
             losses.append(float(loss.data))
             grads.append([p.grad for p in model.parameters()])
         assert losses[1] == losses[0], "model-level fused loss is not bitwise"
@@ -379,8 +413,7 @@ class TestModelLevelEquivalence:
 
         def fresh():
             cfg = STiSANConfig.small(
-                max_len=MAX_LEN, poi_dim=8, geo_dim=8, num_blocks=1,
-                dropout=0.1, fused=True,
+                max_len=MAX_LEN, poi_dim=8, geo_dim=8, num_blocks=1, dropout=0.1,
             )
             return STiSAN(micro_dataset.num_pois, micro_dataset.poi_coords, cfg,
                           rng=np.random.default_rng(5))
@@ -414,12 +447,9 @@ class TestGoldenBothLegs:
         from tests.golden.regenerate import GOLDEN_PATH, build_golden
 
         committed = json.loads(GOLDEN_PATH.read_text())
-        previous = set_fused_default(False)
-        try:
-            assert fused_default() is False
+        with reference_kernels():
+            assert fused.fused_causal_attention is reference_causal_attention
             fresh = build_golden()
-        finally:
-            set_fused_default(previous)
         for user, expected in committed["users"].items():
             got = fresh["users"][user]
             assert got["pois"] == expected["pois"], (
