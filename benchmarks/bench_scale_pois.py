@@ -9,10 +9,10 @@ claim, and each gets a leg here:
    without a KD-tree rebuild per consumer; the dataset-level shared
    handle means one build serves training, eval and serving.
 2. **Streaming negative sampler** — pools come from the grid index on
-   demand through a bounded LRU instead of a precomputed
-   ``(P, pool_size)`` table.  The dense table costs
-   ``(P+1) * pool * 8`` bytes — 8 GB at 500k POIs — and that blowup is
-   recorded as the baseline (measured at small P, extrapolated).
+   demand through a bounded LRU; no ``(P, pool_size)`` table exists.
+   Such a table would cost ``(P+1) * pool * 8`` bytes — 8 GB at 500k
+   POIs — and that analytic figure is what the memory ceiling is set
+   against.
 3. **Sharded sampled-loss head** — ``weighted_bce_loss_sharded`` keeps
    loss temporaries bounded by the shard size; peak traced allocation
    must be flat across shard sizes and well under the unsharded head.
@@ -46,13 +46,14 @@ from repro.data.negatives import EvalCandidateRetriever, NearestNegativeSampler
 from repro.data.synthetic import WorldConfig, generate_dataset
 from repro.data.types import CheckInDataset, UserSequence
 from repro.eval import evaluate
-from repro.geo.grid import build_spatial_index
+from repro.geo import GridIndex, PoiIndex
 from repro.nn.optim import FlatAdam
 from repro.nn.tensor import Tensor, grad_arena
 
 #: Catalogue size for the scale profile.  50k in QUICK keeps the CI
-#: smoke under a couple of minutes while still crossing the auto
-#: grid-backend threshold, so the smoke exercises the same code path.
+#: smoke under a couple of minutes while still reaching the
+#: catalogue-size threshold that picks the grid index, so the smoke
+#: exercises the same code path.
 SCALE_POIS = 50_000 if QUICK else 500_000
 SCALE_USERS = 48
 SCALE_SEQ_LEN = 40
@@ -88,9 +89,6 @@ LOSS_SHARD = 64
 #: grid index (101 candidates each, top-up semantics included).
 NUM_SLATES = 8 if QUICK else 16
 
-#: Small catalogue sizes for measuring the dense-table baseline.
-DENSE_POINTS = (1500, 3000) if QUICK else (2000, 6000)
-
 #: Sharded-loss memory probe shape: (rows, steps, negatives).  Big
 #: enough that loss temporaries dominate fixed overheads — the probe
 #: is cheap, so QUICK runs the same shape.
@@ -107,7 +105,8 @@ def _peak_rss_mb() -> float:
 
 
 def dense_table_mb(num_pois: int) -> float:
-    """Bytes the precomputed ``(P + 1, pool_size)`` int64 table costs."""
+    """Bytes a dense ``(P + 1, pool_size)`` int64 neighbour table would
+    cost — the reference the sampler's memory ceiling is set against."""
     return (num_pois + 1) * POOL_SIZE * 8 / 2**20
 
 
@@ -169,7 +168,7 @@ def run_scale_profile() -> dict:
     }
 
     t0 = time.perf_counter()
-    index = ds.spatial_index()  # auto resolves to the grid backend at this P
+    index = ds.spatial_index()  # catalogue size picks the grid at this P
     report["grid_index"] = {
         "is_grid": index.backend == "grid",
         "level": index.level,
@@ -196,7 +195,6 @@ def run_scale_profile() -> dict:
     warm_s = time.perf_counter() - t0
     stats = sampler._pool_cache.stats
     report["streaming_sampler"] = {
-        "is_streaming": sampler.mode == "streaming",
         "setup_s": setup_s,
         "cold_negatives_per_s": cold.size / cold_s,
         "warm_negatives_per_s": warm.size / warm_s,
@@ -312,11 +310,10 @@ def test_scale_profile(benchmark):
         num_pois=SCALE_POIS, pool_size=POOL_SIZE,
         rss_ceiling_mb=rss_ceiling, setup_ceiling_s=SAMPLER_SETUP_CEILING_S,
     )
-    assert grid["is_grid"], "auto backend did not resolve to grid at scale"
+    assert grid["is_grid"], "catalogue size did not pick the grid index at scale"
     assert grid["build_s"] <= INDEX_BUILD_CEILING_S, (
         f"grid build {grid['build_s']:.1f}s over the {INDEX_BUILD_CEILING_S}s ceiling"
     )
-    assert samp["is_streaming"], "sampler did not auto-select streaming mode"
     assert samp["setup_s"] <= SAMPLER_SETUP_CEILING_S, (
         f"streaming setup {samp['setup_s']:.2f}s over the "
         f"{SAMPLER_SETUP_CEILING_S}s ceiling — is a pool table being built?"
@@ -343,74 +340,7 @@ def test_scale_profile(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Leg 2: the dense baseline this PR retires, measured at small P.
-# ----------------------------------------------------------------------
-def run_dense_baseline() -> dict:
-    rows = {}
-    for num_pois in DENSE_POINTS:
-        ds = build_scale_catalogue(num_pois, num_users=4, seq_len=16, seed=29)
-        index = ds.spatial_index(backend="tree")
-        t0 = time.perf_counter()
-        sampler = NearestNegativeSampler(
-            ds,
-            num_negatives=NUM_NEGATIVES,
-            pool_size=POOL_SIZE,
-            mode="precomputed",
-            index=index,
-            rng=np.random.default_rng(5),
-        )
-        rows[f"dense_pois{num_pois}"] = {
-            "num_pois": num_pois,
-            "setup_s": time.perf_counter() - t0,
-            "table_mb": sampler.pools.nbytes / 2**20,
-        }
-    hi = DENSE_POINTS[-1]
-    # Linear-in-P extrapolation is a *lower bound*: each KD-tree query
-    # is O(log P) on top, and the table itself dominates RSS anyway.
-    per_poi_s = rows[f"dense_pois{hi}"]["setup_s"] / hi
-    rows["dense_extrapolated"] = {
-        "num_pois": SCALE_POIS,
-        "setup_s_linear_lower_bound": per_poi_s * SCALE_POIS,
-        "table_mb_analytic": dense_table_mb(SCALE_POIS),
-    }
-    return rows
-
-
-def test_dense_baseline(benchmark):
-    rows = benchmark.pedantic(run_dense_baseline, rounds=1, iterations=1)
-    banner(f"Dense (P, pool) baseline — measured at P={DENSE_POINTS}")
-    for num_pois in DENSE_POINTS:
-        row = rows[f"dense_pois{num_pois}"]
-        print(
-            f"P={num_pois:<6d} setup {row['setup_s']:7.2f} s, "
-            f"table {row['table_mb']:8.1f} MB"
-        )
-    extr = rows["dense_extrapolated"]
-    print(
-        f"at {SCALE_POIS:,}: setup >= {extr['setup_s_linear_lower_bound']:.0f} s, "
-        f"table {extr['table_mb_analytic']:.0f} MB (analytic)"
-    )
-    try:
-        prior = results_store().load("BENCH_scale").rows
-    except FileNotFoundError:
-        prior = {}
-    persist(
-        "BENCH_scale", {**prior, **rows},
-        num_pois=SCALE_POIS, pool_size=POOL_SIZE,
-    )
-    lo, hi = DENSE_POINTS[0], DENSE_POINTS[-1]
-    for num_pois in DENSE_POINTS:
-        expected = (num_pois + 1) * min(POOL_SIZE, num_pois - 1) * 8 / 2**20
-        assert abs(rows[f"dense_pois{num_pois}"]["table_mb"] - expected) < 0.01, (
-            "dense table bytes diverged from the (P+1) x pool x 8 formula"
-        )
-    # Setup cost must actually grow with P — that growth is the blowup
-    # the streaming path removes.
-    assert rows[f"dense_pois{hi}"]["setup_s"] > rows[f"dense_pois{lo}"]["setup_s"]
-
-
-# ----------------------------------------------------------------------
-# Leg 3: sharded loss head — peak allocation flat in the shard count.
+# Leg 2: sharded loss head — peak allocation flat in the shard count.
 # ----------------------------------------------------------------------
 def _traced_peak_mb(fn) -> float:
     tracemalloc.start()
@@ -509,7 +439,7 @@ def test_sharded_loss_memory(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Leg 4: grid vs KD-tree ranking metrics at current scales — identical.
+# Leg 3: grid vs KD-tree ranking metrics at current scales — identical.
 # ----------------------------------------------------------------------
 def run_metric_parity() -> dict:
     ds = generate_dataset(
@@ -536,8 +466,8 @@ def run_metric_parity() -> dict:
     model = STiSAN(ds.num_pois, ds.poi_coords, cfg, rng=np.random.default_rng(3))
     model.eval()
     reports = {}
-    for backend in ("tree", "grid"):
-        index = build_spatial_index(ds.poi_coords[1:], offset=1, backend=backend)
+    coords = ds.poi_coords[1:]
+    for backend, index in (("tree", PoiIndex(coords)), ("grid", GridIndex(coords))):
         retriever = EvalCandidateRetriever(ds, num_candidates=100, index=index)
         reports[backend] = evaluate(
             model, ds, eval_examples, retriever=retriever

@@ -7,14 +7,13 @@ service.  This is the "end-to-end deployment" the paper positions
 STiSAN as (Section I), packaged the way a downstream service would
 consume it.
 
-Two serving paths share every piece of query preparation:
-
-- :meth:`RecommendationService.recommend` scores one user per model
-  call — the reference path;
-- :meth:`RecommendationService.recommend_batch` pads B live sessions
-  into a single ``(B, n)`` forward pass under ``no_grad`` and is
-  **bitwise identical** to looping ``recommend`` (the property-based
-  equivalence suite in ``tests/test_service_batching.py`` enforces it).
+One serving path answers every query:
+:meth:`RecommendationService.recommend_batch` pads B live sessions
+into a single ``(B, n)`` forward pass under ``no_grad``, and
+:meth:`RecommendationService.recommend` is row 0 of that same body
+for a one-user batch.  Batched rows are **bitwise identical** to
+one-user calls (the property-based equivalence suite in
+``tests/test_service_batching.py`` enforces it).
 
 A :class:`~repro.core.cache.ServingCaches` bundle (on by default)
 memoizes candidate slates, per-POI geography encodings and
@@ -23,26 +22,26 @@ session-derived entries, and slate keys additionally include the
 session length so a stale slate is unrepresentable even if the cache
 is never invalidated.
 
-Both paths are instrumented with :mod:`repro.obs` spans (slate build,
-batch preparation, model forward, ranking) and request/padding-waste
-counters.  With observability disabled (the default) each stage pays a
-single no-op context-manager call, and outputs are bitwise identical
-either way — ``tests/test_obs_properties.py`` enforces both claims.
+Both entry points are instrumented with :mod:`repro.obs` spans (slate
+build, batch preparation, model forward, ranking) and
+request/padding-waste counters, labelled by entry point.  With
+observability disabled (the default) each stage pays a single no-op
+context-manager call, and outputs are bitwise identical either way —
+``tests/test_obs_properties.py`` enforces both claims.
 
 **Degradation-aware serving.**  The model call sits behind a
 :class:`~repro.core.breaker.CircuitBreaker` and a finite-score guard:
 a request whose scores come back NaN/Inf (or whose model call raises)
 falls back to a distance + popularity ranking computed straight from
-the KD-tree index — no caches, no model — and every returned
-:class:`Recommendation` is tagged ``degraded=True``.  In
-``recommend_batch`` failures are isolated per row: a poisoned batch is
-retried row by row and only the bad rows degrade.  After
-``failure_threshold`` consecutive model failures the breaker opens and
-requests short-circuit to the fallback until a half-open probe
-succeeds.  A request is never dropped and never raises because the
-model misbehaved — the chaos suite in
-``tests/test_service_degradation.py`` drives this under injected op-,
-cache- and NaN-faults.
+the shared spatial index — no caches, no model — and every returned
+:class:`Recommendation` is tagged ``degraded=True``.  Failures are
+isolated per row: a batch whose model call raises is retried row by
+row and only the bad rows degrade.  After ``failure_threshold``
+consecutive model failures the breaker opens and requests
+short-circuit to the fallback until a half-open probe succeeds.  A
+request is never dropped and never raises because the model
+misbehaved — the chaos suite in ``tests/test_service_degradation.py``
+drives this under injected op-, cache- and NaN-faults.
 """
 
 from __future__ import annotations
@@ -246,7 +245,7 @@ class RecommendationService:
             self.caches.invalidate_user(user)
 
     # ------------------------------------------------------------------
-    # Query preparation (shared by both serving paths)
+    # Query preparation
     # ------------------------------------------------------------------
     def _require_session(self, user: int) -> UserSession:
         session = self._sessions.get(user)
@@ -281,9 +280,15 @@ class RecommendationService:
         exclude_visited: bool,
         candidates: Optional[Sequence[int]],
     ) -> np.ndarray:
-        if candidates is not None:
-            return np.asarray(list(candidates), dtype=np.int64)
-        return self._candidate_slate(session, exclude_visited)
+        if candidates is None:
+            return self._candidate_slate(session, exclude_visited)
+        # A caller's bad id is the caller's error, not a model failure:
+        # reject it before it can reach the model or trip the breaker.
+        slate = np.asarray(list(candidates), dtype=np.int64)
+        bad = slate[(slate < 1) | (slate > self.dataset.num_pois)]
+        if bad.size:
+            raise ValueError(f"unknown POI id {int(bad[0])} in candidates")
+        return slate
 
     def _query_arrays(self, session: UserSession) -> tuple:
         src = pad_head(np.asarray(session.pois[-self.max_len:], dtype=np.int64),
@@ -353,16 +358,16 @@ class RecommendationService:
     ) -> List[Recommendation]:
         """Model-free ranking: nearest first, popularity as tie-break.
 
-        Recomputes the slate directly from the KD-tree index (bypassing
-        the caches — a corrupted cache entry can be the very reason we
-        are here) unless the caller supplied an explicit slate, which is
-        sanitized against the catalogue range.  Scores are negated
-        distances so "higher is better" still holds downstream.
+        Recomputes the slate directly from the shared spatial index
+        (bypassing the caches — a corrupted cache entry can be the very
+        reason we are here) unless the caller supplied an explicit
+        slate, which :meth:`_resolve_slate` already range-checked.
+        Scores are negated distances so "higher is better" still holds
+        downstream.
         """
         anchor = session.pois[-1]
         if candidates is not None:
             slate = np.asarray(list(candidates), dtype=np.int64)
-            slate = slate[(slate >= 1) & (slate <= self.dataset.num_pois)]
         else:
             exclude = set(session.pois) if exclude_visited else {anchor}
             slate = self._index.nearest_excluding(
@@ -388,7 +393,7 @@ class RecommendationService:
         ]
 
     # ------------------------------------------------------------------
-    # Serving paths
+    # Serving
     # ------------------------------------------------------------------
     def recommend(
         self,
@@ -401,49 +406,17 @@ class RecommendationService:
 
         Candidates default to the nearest POIs around the user's
         current location (mirroring the evaluation protocol); pass an
-        explicit list to re-rank an external slate instead.
+        explicit list to re-rank an external slate instead.  Ids
+        outside ``1..num_pois`` raise ``ValueError``.
 
         Never raises because the *model* misbehaved: NaN/Inf scores or
         a model exception degrade the request to the distance/popularity
-        fallback (results tagged ``degraded=True``).
+        fallback (results tagged ``degraded=True``).  This is row 0 of
+        :meth:`recommend_batch` for ``[user]``.
         """
-        with span("service.recommend"):
-            if _obs._enabled:
-                REGISTRY.counter("repro_requests_total", {"path": "recommend"}).inc()
-                REGISTRY.counter("repro_queries_total", {"path": "recommend"}).inc()
-            self.health.requests += 1
-            session = self._require_session(user)
-            with span("service.slate"):
-                slate = self._resolve_slate(session, exclude_visited, candidates)
-            if slate.size == 0:
-                return []
-            src, times = self._query_arrays(session)
-            if not self.breaker.allow_request():
-                self._note_short_circuit()
-                self._note_degraded(1)
-                with span("service.rank"):
-                    return self._fallback_recommendations(
-                        session, k, exclude_visited, candidates
-                    )
-            scores = None
-            try:
-                with span("service.model_forward"):
-                    scores = self._score(
-                        src[None, :], times[None, :], slate[None, :], [user]
-                    )[0]
-            except Exception:
-                scores = None
-            if scores is not None and np.all(np.isfinite(scores)):
-                self.breaker.record_success()
-                with span("service.rank"):
-                    return self._package(session, slate, scores, k)
-            self.breaker.record_failure()
-            self._note_model_failure()
-            self._note_degraded(1)
-            with span("service.rank"):
-                return self._fallback_recommendations(
-                    session, k, exclude_visited, candidates
-                )
+        return self._serve(
+            "service.recommend", "recommend", [user], k, exclude_visited, [candidates]
+        )[0]
 
     def recommend_batch(
         self,
@@ -471,16 +444,33 @@ class RecommendationService:
         batch-mates.
         """
         users = list(users)
-        if candidates is not None and len(candidates) != len(users):
+        if candidates is None:
+            candidates = [None] * len(users)
+        elif len(candidates) != len(users):
             raise ValueError(
                 f"candidates must align with users: {len(candidates)} != {len(users)}"
             )
-        with span("service.recommend_batch"):
+        return self._serve(
+            "service.recommend_batch", "recommend_batch", users, k,
+            exclude_visited, candidates,
+        )
+
+    def _serve(
+        self,
+        span_name: str,
+        path: str,
+        users: List[int],
+        k: int,
+        exclude_visited: bool,
+        candidates: Sequence[Optional[Sequence[int]]],
+    ) -> List[List[Recommendation]]:
+        """The serving body behind both entry points; ``span_name`` and
+        ``path`` label its span and request counters, and ``candidates``
+        holds one explicit slate (or None) per user."""
+        with span(span_name):
             if _obs._enabled:
-                REGISTRY.counter("repro_requests_total", {"path": "recommend_batch"}).inc()
-                REGISTRY.counter("repro_queries_total", {"path": "recommend_batch"}).inc(
-                    len(users)
-                )
+                REGISTRY.counter("repro_requests_total", {"path": path}).inc()
+                REGISTRY.counter("repro_queries_total", {"path": path}).inc(len(users))
             self.health.requests += 1
             if not users:
                 # The serving tier's dynamic batcher can legitimately
@@ -491,18 +481,13 @@ class RecommendationService:
             sessions = [self._require_session(u) for u in users]
             with span("service.slate"):
                 slates = [
-                    self._resolve_slate(
-                        session, exclude_visited, None if candidates is None else candidates[i]
-                    )
-                    for i, session in enumerate(sessions)
+                    self._resolve_slate(session, exclude_visited, explicit)
+                    for session, explicit in zip(sessions, candidates)
                 ]
             results: List[List[Recommendation]] = [[] for _ in users]
             live = [i for i, slate in enumerate(slates) if slate.size > 0]
             if not live:
                 return results
-
-            def row_candidates(i: int) -> Optional[Sequence[int]]:
-                return None if candidates is None else candidates[i]
 
             if not self.breaker.allow_request():
                 self._note_short_circuit()
@@ -510,7 +495,7 @@ class RecommendationService:
                 with span("service.rank"):
                     for i in live:
                         results[i] = self._fallback_recommendations(
-                            sessions[i], k, exclude_visited, row_candidates(i)
+                            sessions[i], k, exclude_visited, candidates[i]
                         )
                 return results
 
@@ -583,6 +568,6 @@ class RecommendationService:
                     else:
                         self._note_degraded(1)
                         results[i] = self._fallback_recommendations(
-                            sessions[i], k, exclude_visited, row_candidates(i)
+                            sessions[i], k, exclude_visited, candidates[i]
                         )
             return results

@@ -13,7 +13,7 @@ Conventions used across the repository
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -126,27 +126,24 @@ class CheckInDataset:
         """Vectorized POI id -> (lat, lon); padding maps to (0, 0)."""
         return self.poi_coords[np.asarray(pois, dtype=np.int64)]
 
-    def spatial_index(self, backend: str = "auto", level: Optional[int] = None):
+    def spatial_index(self):
         """Shared spatial index over the POI catalogue (lazily built,
-        cached per resolved backend).
+        then cached).
 
         Training negatives, evaluation candidate retrieval and serving
         slates all search the same static catalogue; routing them
         through this handle means one index build per dataset instead
-        of one per consumer.  ``backend`` is ``"tree"`` (KD-tree),
-        ``"grid"`` (quadkey grid) or ``"auto"`` (grid for large
-        catalogues, overridable via ``REPRO_SPATIAL_BACKEND``).
+        of one per consumer.  Catalogue size picks the backend
+        (:func:`repro.geo.grid.build_spatial_index`).
         """
-        from ..geo.grid import build_spatial_index, resolve_spatial_backend  # repro-lint: disable=REPRO-HOTIMPORT -- breaks the geo<->data import cycle; consumers hold the returned handle
+        index = self.__dict__.get("_spatial_index")
+        if index is None:
+            from ..geo.grid import build_spatial_index  # repro-lint: disable=REPRO-HOTIMPORT -- breaks the geo<->data import cycle; consumers hold the returned handle
 
-        resolved = resolve_spatial_backend(backend, self.num_pois)
-        key = (resolved, level if resolved == "grid" else None)
-        cache = self.__dict__.setdefault("_spatial_indexes", {})
-        if key not in cache:
-            cache[key] = build_spatial_index(
-                self.poi_coords[1:], offset=1, backend=resolved, level=level
+            index = self.__dict__["_spatial_index"] = build_spatial_index(
+                self.poi_coords[1:], offset=1
             )
-        return cache[key]
+        return index
 
     def poi_visit_counts(self) -> np.ndarray:
         """(num_pois + 1,) visit frequency per POI id (index 0 unused)."""

@@ -144,8 +144,9 @@ def sweep_service_batches(
 ) -> List[BatchSweepPoint]:
     """Throughput of the service across ``recommend_batch`` sizes.
 
-    Batch size 1 uses the single-query ``recommend`` path (the true
-    unbatched baseline); larger sizes chunk ``users`` through
+    Batch size 1 calls ``recommend`` per user — the same serving body
+    as ``recommend_batch`` with one user per model call, so it is the
+    unbatched baseline; larger sizes chunk ``users`` through
     ``recommend_batch``.  Every point gets the same treatment — caches
     cleared, ``warmup`` untimed rounds (repopulating the caches), then
     ``rounds`` timed rounds — so speedups isolate batching itself while

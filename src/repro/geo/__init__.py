@@ -6,7 +6,6 @@ from .grid import (
     GRID_BACKEND_MIN_POIS,
     GridIndex,
     build_spatial_index,
-    resolve_spatial_backend,
 )
 from .gridding import GridSpec
 from .haversine import EARTH_RADIUS_KM, haversine, pairwise_haversine
@@ -16,7 +15,6 @@ from .neighbors import (
     canonical_topk,
     chord_to_km,
     latlon_to_unit_xyz,
-    pad_pool,
     xyz_distance_km,
 )
 from .quadkey import QuadkeyVocab, latlon_to_quadkey, latlon_to_tile_xy, quadkey_to_ngrams
@@ -29,13 +27,11 @@ __all__ = [
     "GridIndex",
     "SpatialIndexBase",
     "build_spatial_index",
-    "resolve_spatial_backend",
     "GRID_BACKEND_MIN_POIS",
     "latlon_to_unit_xyz",
     "chord_to_km",
     "xyz_distance_km",
     "canonical_topk",
-    "pad_pool",
     "GridSpec",
     "latlon_to_quadkey",
     "latlon_to_tile_xy",

@@ -664,9 +664,9 @@ class DensePoiAllocationRule:
         "No new catalogue-sized 2-D allocations: an np.zeros((num_pois, "
         "...))-shaped table scales O(P·k) and forecloses million-POI "
         "catalogues.  Stream from the spatial index "
-        "(repro.geo.grid / CheckInDataset.spatial_index) instead; the "
-        "sanctioned dense fallbacks live in repro.data.negatives "
-        "(precomputed sampler mode) and repro.baselines."
+        "(repro.geo.grid / CheckInDataset.spatial_index) instead; only "
+        "repro.baselines, whose published formulations are dense, may "
+        "keep one."
     )
     severity = "error"
     family = "performance"
@@ -675,19 +675,12 @@ class DensePoiAllocationRule:
 
     #: numpy allocators that materialize the full table.
     _ALLOCATORS = {"numpy.zeros", "numpy.empty", "numpy.ones", "numpy.full"}
-    #: Modules allowed to keep a dense per-POI table: the precomputed
-    #: sampler mode (small-catalogue fast path) and the baselines, whose
-    #: published formulations are dense.
-    SANCTIONED_FILES = frozenset({"negatives.py"})
+    #: Packages allowed to keep a dense per-POI table: the baselines,
+    #: whose published formulations are dense.
     SANCTIONED_DIRS = frozenset({"baselines"})
 
     def applies_to(self, module: ModuleInfo) -> bool:
-        parts = module.path.parts
-        if any(part in self.SANCTIONED_DIRS for part in parts):
-            return False
-        if module.path.name in self.SANCTIONED_FILES and "data" in parts:
-            return False
-        return True
+        return not any(part in self.SANCTIONED_DIRS for part in module.path.parts)
 
     #: Widths up to this literal are treated as per-POI *records*
     #: (coordinates, (lat, lon) pairs), not neighbour tables.

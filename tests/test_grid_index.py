@@ -4,8 +4,9 @@ Covers the four equivalence contracts of the grid index PR:
 
 - grid k-NN == KD-tree canonical k-NN on random catalogues, including
   antimeridian, pole-clamped and duplicate coordinates;
-- streaming negative sampler bitwise == precomputed sampler for fixed
-  seeds (and the shared repeat-last pool padding on tiny catalogues);
+- negative sampler bitwise == a brute-force ``(distance, id)`` oracle
+  for fixed seeds, on either index backend and on duplicate
+  coordinates;
 - sharded loss == unsharded loss: forward within 1e-6, gradients
   bitwise, across shard sizes including a ragged last shard;
 - evaluation/serving slates identical under the grid retriever (and
@@ -20,15 +21,14 @@ import pytest
 
 from repro.core.loss import weighted_bce_loss, weighted_bce_loss_sharded
 from repro.data import EvalCandidateRetriever, NearestNegativeSampler
-from repro.data.types import PAD_POI
+from repro.data.types import PAD_POI, CheckInDataset, UserSequence
 from repro.geo import (
     GRID_BACKEND_MIN_POIS,
     GridIndex,
     PoiIndex,
     build_spatial_index,
-    pad_pool,
-    resolve_spatial_backend,
 )
+from repro.geo.neighbors import latlon_to_unit_xyz, xyz_distance_km
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -80,8 +80,6 @@ class TestGridKnnEquivalence:
         rng = np.random.default_rng(17)
         coords = edge_case_coords(rng, 200)
         grid = GridIndex(coords, level=4)
-        from repro.geo.neighbors import latlon_to_unit_xyz, xyz_distance_km
-
         xyz = latlon_to_unit_xyz(coords)
         for poi in (1, 3, 77, 200):
             for radius in (25.0, 800.0, 7000.0):
@@ -120,72 +118,102 @@ class TestGridKnnEquivalence:
 
 
 class TestBackendResolution:
-    def test_explicit_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPATIAL_BACKEND", "grid")
-        assert resolve_spatial_backend("tree", 10**6) == "tree"
-        assert resolve_spatial_backend("grid", 10) == "grid"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPATIAL_BACKEND", "grid")
-        assert resolve_spatial_backend("auto", 10) == "grid"
-        monkeypatch.setenv("REPRO_SPATIAL_BACKEND", "tree")
-        assert resolve_spatial_backend("auto", 10**6) == "tree"
-
     def test_auto_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPATIAL_BACKEND", raising=False)
-        assert resolve_spatial_backend("auto", GRID_BACKEND_MIN_POIS - 1) == "tree"
-        assert resolve_spatial_backend("auto", GRID_BACKEND_MIN_POIS) == "grid"
+        assert GRID_BACKEND_MIN_POIS == 50_000
+        monkeypatch.setattr("repro.geo.grid.GRID_BACKEND_MIN_POIS", 30)
+        coords = random_coords(np.random.default_rng(0), 30)
+        assert isinstance(build_spatial_index(coords[:29]), PoiIndex)
+        assert isinstance(build_spatial_index(coords), GridIndex)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_spatial_backend("ball-tree", 10)
-
-    def test_build_dispatch(self):
-        rng = np.random.default_rng(0)
-        coords = random_coords(rng, 30)
-        assert build_spatial_index(coords, backend="tree").backend == "tree"
-        assert build_spatial_index(coords, backend="grid").backend == "grid"
+    def test_unknown_backend_rejected(self, tiny_dataset):
+        # Catalogue size is the only selector: no backend argument survives.
+        with pytest.raises(TypeError):
+            tiny_dataset.spatial_index(backend="ball-tree")
+        with pytest.raises(TypeError):
+            build_spatial_index(tiny_dataset.poi_coords[1:], backend="grid")
 
     def test_dataset_handle_cached(self, tiny_dataset):
         assert tiny_dataset.spatial_index() is tiny_dataset.spatial_index()
-        grid = tiny_dataset.spatial_index(backend="grid")
-        assert grid.backend == "grid"
-        assert grid is tiny_dataset.spatial_index(backend="grid")
-        assert grid is not tiny_dataset.spatial_index(backend="tree")
+        assert tiny_dataset.spatial_index().backend == "tree"
+
+
+def oracle_negatives(dataset, targets, num_negatives, pool_size, seed):
+    """Brute-force reference for :class:`NearestNegativeSampler`: every
+    other POI sorted by ``(xyz_distance_km, id)``, then the sampler's
+    own ``rng.integers`` column draw."""
+    xyz = latlon_to_unit_xyz(dataset.poi_coords[1:])
+    ids = np.arange(1, dataset.num_pois + 1)
+    pool_size = min(pool_size, dataset.num_pois - 1)
+    targets = np.asarray(targets, dtype=np.int64)
+    flat = targets.reshape(-1)
+    real = flat != PAD_POI
+    cols = np.random.default_rng(seed).integers(
+        0, pool_size, size=(int(real.sum()), num_negatives)
+    )
+    out = np.zeros((flat.size, num_negatives), dtype=np.int64)
+    for row, target in zip(np.flatnonzero(real), cols):
+        t = int(flat[row])
+        others = ids[ids != t]
+        km = xyz_distance_km(xyz[others - 1], xyz[t - 1])
+        out[row] = others[np.lexsort((others, km))][:pool_size][target]
+    return out.reshape(*targets.shape, num_negatives)
+
+
+def duplicate_coordinate_dataset():
+    """40 POIs, a third of them stacked on three shared coordinates."""
+    coords = random_coords(np.random.default_rng(31), 41, (40, 41), (10, 11))
+    coords[5:10] = coords[4]
+    coords[20:25] = coords[19]
+    coords[30:34] = coords[1]
+    seqs = {
+        1: UserSequence(
+            user=1, pois=np.arange(1, 41), times=np.arange(40, dtype=np.float64) * 60
+        )
+    }
+    return CheckInDataset(name="dups", poi_coords=coords, sequences=seqs)
+
+
+class TestSamplerOracle:
+    @pytest.mark.parametrize("catalogue", ["tiny", "duplicates"])
+    @pytest.mark.parametrize("backend", ["shared", "tree", "grid"])
+    def test_sample_matches_brute_force(self, tiny_dataset, catalogue, backend):
+        ds = tiny_dataset if catalogue == "tiny" else duplicate_coordinate_dataset()
+        index = {
+            "shared": None,
+            "tree": PoiIndex(ds.poi_coords[1:]),
+            "grid": GridIndex(ds.poi_coords[1:], level=6),
+        }[backend]
+        targets = np.random.default_rng(2).integers(0, ds.num_pois + 1, size=(6, 11))
+        for pool_size in (12, 30, 10_000):
+            sampler = NearestNegativeSampler(
+                ds, num_negatives=7, pool_size=pool_size,
+                rng=np.random.default_rng(42), index=index,
+            )
+            np.testing.assert_array_equal(
+                sampler.sample(targets),
+                oracle_negatives(ds, targets, 7, pool_size, seed=42),
+            )
 
 
 class TestStreamingSampler:
-    def test_streaming_bitwise_equals_precomputed(self, tiny_dataset):
-        targets = np.random.default_rng(2).integers(
-            0, tiny_dataset.num_pois + 1, size=(6, 11)
-        )
-        drawn = {}
-        for mode in ("precomputed", "streaming"):
-            sampler = NearestNegativeSampler(
-                tiny_dataset, num_negatives=7, pool_size=30,
-                rng=np.random.default_rng(42), mode=mode,
-            )
-            drawn[mode] = sampler.sample(targets)
-        np.testing.assert_array_equal(drawn["precomputed"], drawn["streaming"])
-
     def test_streaming_across_backends_bitwise(self, tiny_dataset):
         targets = np.random.default_rng(3).integers(
             1, tiny_dataset.num_pois + 1, size=(4, 9)
         )
+        coords = tiny_dataset.poi_coords[1:]
         drawn = {}
-        for backend in ("tree", "grid"):
+        for name, index in (("tree", PoiIndex(coords)), ("grid", GridIndex(coords))):
             sampler = NearestNegativeSampler(
                 tiny_dataset, num_negatives=5, pool_size=25,
-                rng=np.random.default_rng(9), mode="streaming",
-                index=tiny_dataset.spatial_index(backend=backend),
+                rng=np.random.default_rng(9), index=index,
             )
-            drawn[backend] = sampler.sample(targets)
+            drawn[name] = sampler.sample(targets)
         np.testing.assert_array_equal(drawn["tree"], drawn["grid"])
 
     def test_streaming_cache_bounded_and_hit(self, tiny_dataset):
         sampler = NearestNegativeSampler(
             tiny_dataset, num_negatives=3, pool_size=10,
-            rng=np.random.default_rng(0), mode="streaming", cache_size=4,
+            rng=np.random.default_rng(0), cache_size=4,
         )
         sampler.sample(np.array([[1, 2, 3, 1, 2]]))
         sampler.sample(np.array([[1, 2, 3]]))
@@ -197,8 +225,7 @@ class TestStreamingSampler:
 
     def test_pad_targets_give_pad(self, tiny_dataset):
         sampler = NearestNegativeSampler(
-            tiny_dataset, num_negatives=3, rng=np.random.default_rng(0),
-            mode="streaming",
+            tiny_dataset, num_negatives=3, rng=np.random.default_rng(0)
         )
         negs = sampler.sample(np.array([[PAD_POI, 2]]))
         assert (negs[0, 0] == PAD_POI).all()
@@ -206,11 +233,10 @@ class TestStreamingSampler:
 
 
 class TestTinyCataloguePadding:
-    """The repeat-last pool padding, reachable and pinned."""
+    """A catalogue smaller than the requested pool: pools stay exactly
+    full because ``pool_size`` is clamped, never padded."""
 
     def make_tiny(self):
-        from repro.data.types import CheckInDataset, UserSequence
-
         coords = np.array(
             [[0.0, 0.0], [10.0, 10.0], [10.1, 10.0], [10.2, 10.0],
              [10.3, 10.0], [10.4, 10.0], [10.5, 10.0]]
@@ -223,31 +249,6 @@ class TestTinyCataloguePadding:
             )
         }
         return CheckInDataset(name="tiny6", poi_coords=coords, sequences=seqs)
-
-    def test_pad_pool_repeat_last(self):
-        ids = np.array([4, 9, 2])
-        padded = pad_pool(ids, 6)
-        np.testing.assert_array_equal(padded, [4, 9, 2, 2, 2, 2])
-        np.testing.assert_array_equal(pad_pool(ids, 2), [4, 9])
-        with pytest.raises(ValueError):
-            pad_pool(np.array([], dtype=np.int64), 3)
-
-    def test_sampler_padding_reachable(self):
-        ds = self.make_tiny()
-        drawn = {}
-        for mode in ("precomputed", "streaming"):
-            sampler = NearestNegativeSampler(
-                ds, num_negatives=4, pool_size=10,
-                rng=np.random.default_rng(8), mode=mode,
-                pad_to_pool_size=True,
-            )
-            pool = sampler.pool_for(1)
-            assert pool.shape == (10,)
-            # 5 real neighbours, then the farthest repeated to width 10.
-            assert len(set(pool[:5])) == 5
-            assert (pool[5:] == pool[4]).all()
-            drawn[mode] = sampler.sample(np.array([1, 3, 6]))
-        np.testing.assert_array_equal(drawn["precomputed"], drawn["streaming"])
 
     def test_clamped_default_stays_exactly_full(self):
         ds = self.make_tiny()
@@ -320,13 +321,12 @@ class TestShardedLoss:
 
 class TestGridSlates:
     def test_retriever_slates_identical_across_backends(self, tiny_dataset):
+        coords = tiny_dataset.poi_coords[1:]
         tree = EvalCandidateRetriever(
-            tiny_dataset, num_candidates=20,
-            index=tiny_dataset.spatial_index(backend="tree"),
+            tiny_dataset, num_candidates=20, index=PoiIndex(coords)
         )
         grid = EvalCandidateRetriever(
-            tiny_dataset, num_candidates=20,
-            index=tiny_dataset.spatial_index(backend="grid"),
+            tiny_dataset, num_candidates=20, index=GridIndex(coords)
         )
         for user in tiny_dataset.users():
             target = int(tiny_dataset.sequences[user].pois[-1])
@@ -341,22 +341,20 @@ class TestGridSlates:
             def score_candidates(self, src, times, candidates):
                 return np.zeros(candidates.shape, dtype=np.float32)
 
+        coords = micro_dataset.poi_coords[1:]
         slates = {}
-        for backend in ("tree", "grid"):
-            micro_dataset.__dict__.pop("_spatial_indexes", None)
-            micro_dataset.spatial_index(backend=backend)  # pre-populate
+        for name, index in (("tree", PoiIndex(coords)), ("grid", GridIndex(coords))):
             service = RecommendationService(
                 NullScorer(), micro_dataset, max_len=10, num_candidates=15
             )
-            service._index = micro_dataset.spatial_index(backend=backend)
+            service._index = index
             per_user = {}
             for user in micro_dataset.users():
                 session = service.session(user)
                 per_user[user] = service._candidate_slate(
                     session, exclude_visited=True
                 ).copy()
-            slates[backend] = per_user
-        micro_dataset.__dict__.pop("_spatial_indexes", None)
+            slates[name] = per_user
         for user in slates["tree"]:
             np.testing.assert_array_equal(slates["tree"][user], slates["grid"][user])
 
@@ -370,7 +368,7 @@ class TestGoldenSlatesUnderGrid:
         from tests.golden.regenerate import GOLDEN_PATH, build_golden
 
         committed = json.loads(GOLDEN_PATH.read_text())
-        monkeypatch.setenv("REPRO_SPATIAL_BACKEND", "grid")
+        monkeypatch.setattr("repro.geo.grid.GRID_BACKEND_MIN_POIS", 1)
         fresh = build_golden()
         assert set(fresh["users"]) == set(committed["users"])
         for user, expected in committed["users"].items():

@@ -118,6 +118,27 @@ class TestServiceValidation:
         with pytest.raises(ValueError, match="at least 2"):
             RecommendationService(ScriptedModel(), tiny)
 
+    @pytest.mark.parametrize("bad", ["padding", "negative", "past_catalogue"])
+    def test_bad_candidate_ids_rejected_before_the_model(self, micro_dataset, bad):
+        bad_id = {"padding": 0, "negative": -3,
+                  "past_catalogue": micro_dataset.num_pois + 5}[bad]
+        model = ScriptedModel()
+        service = make_service(micro_dataset, model)
+        users = micro_dataset.users()
+        for _ in range(6):  # more than the breaker's failure threshold
+            with pytest.raises(ValueError, match=f"unknown POI id {bad_id}"):
+                service.recommend(users[0], k=3, candidates=[1, 2, bad_id])
+            with pytest.raises(ValueError, match=f"unknown POI id {bad_id}"):
+                service.recommend_batch(
+                    users[:2], k=3, candidates=[None, [bad_id, 1]]
+                )
+        assert model.calls == 0
+        assert service.health.model_failures == 0
+        assert service.breaker.state == CLOSED
+        # Another user's healthy request is served by the model.
+        recs = service.recommend(users[1], k=3)
+        assert recs and not any(r.degraded for r in recs)
+
     def test_clamp_to_catalogue_still_works(self, micro_dataset):
         service = make_service(
             micro_dataset, ScriptedModel(), num_candidates=10_000
