@@ -13,8 +13,11 @@ Pooling modes
 ``attn``  single self-attention layer over the n-grams then average —
           closer to GeoSAN's original encoder, ~G× more FLOPs.
 
-The encoder caches the (static) POI → n-gram-id matrix so a forward
-pass is one embedding lookup plus a pooling reduction.
+The encoder caches the (static) POI → n-gram-id matrix.  The encoding
+is a pure function of the POI id and the weights, so a forward pass
+encodes each distinct id in the batch once — one embedding lookup, a
+pooling reduction and a projection per unique POI — then gathers the
+rows back to the batch shape.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from ..geo.quadkey import QuadkeyVocab, latlon_to_quadkey
+from ..nn import functional as F
 from ..nn.attention import SelfAttention
 from ..nn.layers import Embedding, Linear
 from ..nn.module import Module
@@ -82,45 +86,72 @@ class GeographyEncoder(Module):
     def forward(self, poi_ids) -> Tensor:
         """POI ids (any shape) -> geography vectors (..., dim).
 
-        The padding POI (id 0) maps to the zero vector.
+        The padding POI (id 0) maps to the zero vector; an id outside
+        ``[0, P]`` raises :class:`IndexError`.
+
+        Each distinct id is encoded once and the rows are gathered back
+        to the input shape, so a training batch whose candidates repeat
+        a few hundred POIs pools and projects a few hundred rows, not
+        one per occurrence.  The gather's backward scatter-adds every
+        occurrence's gradient onto its unique row.  This is valid
+        because the encoder has no stochastic op: ``SelfAttention``
+        runs at dropout 0 and draws no RNG.  Every row sees the same
+        per-row ops either way, so the output is bitwise the same as
+        encoding each occurrence; gradients differ only in summation
+        order.
         """
         with span("model.geo_encode"):
             ids = poi_ids.data if isinstance(poi_ids, Tensor) else np.asarray(poi_ids)
-            ids = ids.astype(np.int64)
-            grams = self.gram_ids[ids]                       # (..., G)
-            embedded = self.gram_embedding(grams)            # (..., G, dim)
-            if self.pooling == "attn":
-                flat = embedded.reshape(-1, grams.shape[-1], self.dim)
-                flat = self.attn(flat)
-                embedded = flat.reshape(*grams.shape, self.dim)
-            # Mean over real (non-PAD) n-grams.
-            real = (grams != QuadkeyVocab.PAD).astype(np.float32)
-            counts = np.maximum(real.sum(axis=-1, keepdims=True), 1.0)
-            pooled = (embedded * Tensor(real[..., None])).sum(axis=-2) * Tensor(1.0 / counts)
-            out = self.project(pooled)
-            # Keep padding POIs exactly zero (project bias would leak otherwise).
-            pad = (ids == 0)
-            if pad.any():
-                out = out.masked_fill(pad[..., None], 0.0)
-            return out
+            unique, inverse = self._unique_ids(ids)
+            table = self._encode_unique(unique)              # (U, dim)
+            return F.embedding_lookup(table, inverse.reshape(ids.shape))
+
+    def _unique_ids(self, ids: np.ndarray):
+        """Sorted distinct ids and the inverse map; rejects ids outside
+        the catalogue (a negative id would otherwise wrap to a real POI)."""
+        unique, inverse = np.unique(ids.astype(np.int64).reshape(-1), return_inverse=True)
+        if unique.size and (unique[0] < 0 or unique[-1] >= len(self.gram_ids)):
+            raise IndexError(
+                f"POI id out of range [0, {len(self.gram_ids)}): "
+                f"min={unique[0]}, max={unique[-1]}"
+            )
+        return unique, inverse
+
+    def _encode_unique(self, ids: np.ndarray) -> Tensor:
+        """(U,) distinct POI ids -> (U, dim): n-gram lookup, pooling,
+        projection and the padding mask, one row per id."""
+        grams = self.gram_ids[ids]                           # (U, G)
+        embedded = self.gram_embedding(grams)                # (U, G, dim)
+        if self.pooling == "attn":
+            embedded = self.attn(embedded)
+        # Mean over real (non-PAD) n-grams.
+        real = (grams != QuadkeyVocab.PAD).astype(np.float32)
+        counts = np.maximum(real.sum(axis=-1, keepdims=True), 1.0)
+        pooled = (embedded * Tensor(real[..., None])).sum(axis=-2) * Tensor(1.0 / counts)
+        out = self.project(pooled)
+        # Keep padding POIs exactly zero (project bias would leak otherwise).
+        pad = (ids == 0)
+        if pad.any():
+            out = out.masked_fill(pad[..., None], 0.0)
+        return out
 
     def encode_pois_cached(self, poi_ids, cache) -> np.ndarray:
         """Geography vectors via a per-POI LRU cache (serving path).
 
         POI coordinates are immutable, so the encoding of a POI id is a
-        pure function of frozen weights: compute each unique id once
-        (bitwise identical to :meth:`forward` — lookups, per-row pooling
-        and a per-row linear projection), cache the row, and gather.
-        Returns a raw ``(..., dim)`` float32 array (no autograd graph).
+        pure function of frozen weights.  Ids the cache misses go
+        through :meth:`forward` once, as one batch of distinct ids, so a
+        cached row is bitwise the row :meth:`forward` returns; each row
+        is cached and the result gathered.  Ids outside ``[0, P]`` raise
+        :class:`IndexError` before any cache read or write.  Returns a
+        raw ``(..., dim)`` float32 array (no autograd graph).
         """
         with span("model.geo_encode_cached"):
             return self._encode_pois_cached(poi_ids, cache)
 
     def _encode_pois_cached(self, poi_ids, cache) -> np.ndarray:
         ids = poi_ids.data if isinstance(poi_ids, Tensor) else np.asarray(poi_ids)
-        ids = ids.astype(np.int64)
-        flat = ids.reshape(-1)
-        unique = np.unique(flat)
+        unique, inverse = self._unique_ids(ids)
         vectors = {}
         missing = []
         for poi in unique:
@@ -136,8 +167,7 @@ class GeographyEncoder(Module):
             for poi, row in zip(missing, computed):
                 cache.put(poi, row)
                 vectors[poi] = row
-        if len(flat) == 0:
+        if unique.size == 0:
             return np.zeros(ids.shape + (self.dim,), dtype=np.float32)
         table = np.stack([vectors[int(poi)] for poi in unique])
-        out = table[np.searchsorted(unique, flat)]
-        return out.reshape(ids.shape + (self.dim,))
+        return table[inverse].reshape(ids.shape + (self.dim,))

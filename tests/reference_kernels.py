@@ -8,6 +8,10 @@ own graph node with its own generic backward.  The fused kernels
 promise a bitwise-identical forward and a backward within 1e-6 of
 these chains.
 
+:func:`reference_geo_encode` is the same kind of oracle for the
+geography encoder: it encodes every occurrence of an id, where
+``GeographyEncoder.forward`` encodes each distinct id once and gathers.
+
 :func:`reference_kernels` swaps the chains into :mod:`repro.nn.fused`.
 Model code calls the kernels through that module's attributes, so a
 model built and run inside the context executes the reference chain
@@ -24,6 +28,7 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.geo.quadkey import QuadkeyVocab
 from repro.nn import functional as F
 from repro.nn import fused
 from repro.nn.attention import NEG_INF
@@ -31,6 +36,7 @@ from repro.nn.tensor import Tensor
 
 __all__ = [
     "reference_causal_attention",
+    "reference_geo_encode",
     "reference_layer_norm",
     "reference_layer_norm_residual",
     "reference_kernels",
@@ -76,6 +82,28 @@ def reference_layer_norm_residual(
     """The pre-LN residual junction ``h = x + sublayer_out; n = LN(h)``."""
     h = x + sublayer_out
     return h, reference_layer_norm(h, alpha, beta, eps=eps)
+
+
+def reference_geo_encode(encoder, ids) -> Tensor:
+    """:meth:`repro.core.geo_encoder.GeographyEncoder.forward` encoding
+    every occurrence of an id: n-gram lookup, pooling, projection and
+    padding mask over the full ``(..., G)`` gram tensor, with no
+    unique-then-gather."""
+    ids = np.asarray(ids).astype(np.int64)
+    grams = encoder.gram_ids[ids]                            # (..., G)
+    embedded = encoder.gram_embedding(grams)                 # (..., G, dim)
+    if encoder.pooling == "attn":
+        flat = embedded.reshape(-1, grams.shape[-1], encoder.dim)
+        flat = encoder.attn(flat)
+        embedded = flat.reshape(*grams.shape, encoder.dim)
+    real = (grams != QuadkeyVocab.PAD).astype(np.float32)
+    counts = np.maximum(real.sum(axis=-1, keepdims=True), 1.0)
+    pooled = (embedded * Tensor(real[..., None])).sum(axis=-2) * Tensor(1.0 / counts)
+    out = encoder.project(pooled)
+    pad = ids == 0
+    if pad.any():
+        out = out.masked_fill(pad[..., None], 0.0)
+    return out
 
 
 @contextmanager

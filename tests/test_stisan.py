@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core import STiSAN, STiSANConfig, TrainConfig, train_stisan
+from repro.core.cache import LRUCache
 from repro.core.geo_encoder import GeographyEncoder
 from repro.data import PAD_POI, partition
 from repro.eval.flops import parameter_counts
+from repro.geo.quadkey import QuadkeyVocab
 from repro.nn import load_checkpoint, save_checkpoint
+from repro.nn.tensor import Tensor, no_grad
+from tests.reference_kernels import reference_geo_encode
+from tests.test_nn_gradcheck import numerical_grad
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +66,117 @@ class TestGeographyEncoder:
     def test_invalid_pooling(self, micro_dataset):
         with pytest.raises(ValueError):
             GeographyEncoder(micro_dataset.poi_coords, 8, pooling="max")
+
+    @pytest.mark.parametrize("where", ["negative", "past_catalogue"])
+    @pytest.mark.parametrize("method", ["forward", "encode_pois_cached"])
+    def test_out_of_range_ids_rejected(self, micro_dataset, rng, where, method):
+        enc = GeographyEncoder(micro_dataset.poi_coords, 8, level=12, ngram=4, rng=rng)
+        bad = -1 if where == "negative" else micro_dataset.num_pois + 1
+        ids = np.array([[1, bad], [2, 1]])
+        cache = LRUCache(64, name="geo")
+        with pytest.raises(IndexError, match="POI id out of range"):
+            if method == "forward":
+                enc(ids)
+            else:
+                enc.encode_pois_cached(ids, cache)
+        assert len(cache) == 0
+
+
+GEO_ID_CASES = {
+    "duplicates_1d": np.array([3, 1, 3, 3, 0, 1, 7]),
+    "padding_2d": np.array([[1, 2, 2, 0, 0], [2, 9, 0, 0, 0]]),
+    "candidates_3d": np.random.default_rng(3).integers(0, 12, size=(2, 4, 6)),
+    "empty": np.zeros((0,), dtype=np.int64),
+}
+
+
+def _geo_encoder(dataset, pooling):
+    return GeographyEncoder(
+        dataset.poi_coords, 8, level=12, ngram=4, pooling=pooling,
+        rng=np.random.default_rng(11),
+    )
+
+
+def _geo_grads(enc, encode, ids, weights):
+    """Parameter gradients of ``sum(weights * encode(enc, ids))``."""
+    enc.zero_grad()
+    (encode(enc, ids) * Tensor(weights)).sum().backward()
+    return {
+        name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+        for name, p in enc.named_parameters()
+    }
+
+
+@pytest.mark.parametrize("pooling", ["mean", "attn"])
+class TestGeoEncodeOnce:
+    """``forward`` encodes each distinct id once and gathers; the oracle
+    encodes every occurrence.  Same output bits, same gradients up to
+    summation order."""
+
+    @pytest.mark.parametrize("case", list(GEO_ID_CASES))
+    def test_forward_bitwise_equals_per_occurrence(self, micro_dataset, pooling, case):
+        enc = _geo_encoder(micro_dataset, pooling)
+        ids = GEO_ID_CASES[case]
+        out = enc(ids).data
+        ref = reference_geo_encode(enc, ids).data
+        assert out.shape == ids.shape + (8,)
+        assert out.dtype == ref.dtype == np.float32
+        np.testing.assert_array_equal(out, ref)
+
+    @pytest.mark.parametrize("case", list(GEO_ID_CASES))
+    def test_grads_match_per_occurrence(self, micro_dataset, pooling, case):
+        enc = _geo_encoder(micro_dataset, pooling)
+        ids = GEO_ID_CASES[case]
+        weights = np.random.default_rng(5).standard_normal(ids.shape + (8,)).astype(np.float32)
+        got = _geo_grads(enc, GeographyEncoder.forward, ids, weights)
+        want = _geo_grads(enc, reference_geo_encode, ids, weights)
+        assert got.keys() == want.keys()
+        for name in want:
+            scale = float(np.abs(want[name]).max(initial=0.0))
+            np.testing.assert_allclose(
+                got[name], want[name], rtol=1e-5, atol=1e-5 * scale, err_msg=name
+            )
+
+    def test_pad_gram_row_gets_zero_grad(self, micro_dataset, pooling):
+        enc = _geo_encoder(micro_dataset, pooling)
+        ids = GEO_ID_CASES["padding_2d"]
+        weights = np.ones(ids.shape + (8,), dtype=np.float32)
+        grads = _geo_grads(enc, GeographyEncoder.forward, ids, weights)
+        assert (enc.gram_ids[ids] == QuadkeyVocab.PAD).any()
+        assert np.all(grads["gram_embedding.weight"][QuadkeyVocab.PAD] == 0.0)
+        assert np.any(grads["gram_embedding.weight"] != 0.0)
+
+    def test_gather_backward_matches_finite_differences(self, micro_dataset, pooling):
+        """Each repeated id carries a different loss weight, so the
+        analytic gradient is right only if the gather's backward sums
+        every occurrence onto the unique row."""
+        enc = _geo_encoder(micro_dataset, pooling)
+        ids = np.array([[2, 2, 5], [2, 0, 5]])
+        weights = np.random.default_rng(9).uniform(0.5, 2.0, ids.shape + (8,))
+        weights[0, 1] *= -3.0
+        weights = weights.astype(np.float32)
+        grads = _geo_grads(enc, GeographyEncoder.forward, ids, weights)
+
+        def loss() -> float:
+            with no_grad():
+                return float((enc(ids).data.astype(np.float64) * weights).sum())
+
+        project = enc.project.weight.data
+        num = numerical_grad(lambda _: loss(), project)
+        np.testing.assert_allclose(grads["project.weight"], num, rtol=1e-2, atol=1e-3)
+
+        table = enc.gram_embedding.weight.data
+        used = np.unique(enc.gram_ids[[2, 5]])
+        rows = used[used != QuadkeyVocab.PAD][:3]
+        saved = table[rows].copy()
+
+        def loss_at(block: np.ndarray) -> float:
+            table[rows] = block
+            return loss()
+
+        num = numerical_grad(loss_at, saved.copy())
+        table[rows] = saved
+        np.testing.assert_allclose(grads["gram_embedding.weight"][rows], num, rtol=1e-2, atol=1e-3)
 
 
 class TestSTiSANModel:
