@@ -19,8 +19,8 @@ A second microbenchmark prices the ``segment_sum_rows`` scatter-add
 (embedding backward) against the ``np.add.at`` ufunc path it replaced,
 at training shape, asserting both the speedup and bitwise equality.
 
-A third benchmark sweeps ``repro.parallel`` over worker counts
-{1, 2, 4}: the epoch loss must be **bitwise identical** across the
+A third benchmark sweeps ``train_stisan`` over worker counts
+{1, 2, 4} at a fixed ``grad_shards``: the epoch loss must be **bitwise identical** across the
 sweep on any hardware (that part always gates), and on machines with
 at least 4 usable cores the 4-worker leg must clear the ≥2.5×
 steps/sec scaling gate.  On smaller machines the sweep still runs and
@@ -43,13 +43,14 @@ import numpy as np
 
 from repro.core import STiSAN, STiSANConfig
 from repro.core.loss import weighted_bce_loss
+from repro.core.trainer import train_stisan
 from repro.data import partition
 from repro.data.batching import BatchIterator
 from repro.data.negatives import NearestNegativeSampler
 from repro.nn.functional import segment_sum_rows
 from repro.nn.optim import Adam, FlatAdam
 from repro.nn.tensor import grad_arena
-from repro.parallel import train_data_parallel
+from repro.parallel import DEFAULT_GRAD_SHARDS
 from tests.reference_kernels import reference_kernels
 
 # Paper sequence shape (Section IV-D), at reproduction-scale width:
@@ -252,7 +253,11 @@ def run_worker_leg(workers: int) -> dict:
     model = STiSAN(ds.num_pois, ds.poi_coords, cfg, rng=np.random.default_rng(7))
     steps = math.ceil(len(subset) / tc.batch_size)
     t0 = time.perf_counter()
-    result = train_data_parallel(model, ds, subset, tc, workers=workers)
+    # One shard count for every leg: the sweep compares worker counts,
+    # not shard arithmetic.
+    result = train_stisan(
+        model, ds, subset, tc, workers=workers, grad_shards=DEFAULT_GRAD_SHARDS
+    )
     wall = time.perf_counter() - t0
     return {
         "workers": workers,

@@ -20,7 +20,6 @@ from .attention_vs_relation import (
     dependency_decomposition,
     jensen_shannon,
 )
-from .embedding_probe import geography_encoder_alignment, pairwise_alignment
 from .render import render_heatmap, render_histogram, render_series
 from .trajectories import (
     UserMobilityStats,
@@ -54,6 +53,4 @@ __all__ = [
     "render_heatmap",
     "render_histogram",
     "render_series",
-    "pairwise_alignment",
-    "geography_encoder_alignment",
 ]

@@ -13,7 +13,6 @@ from ..core.stisan import STiSAN
 from ..core.trainer import train_stisan
 from ..data.sequences import SequenceExample
 from ..data.types import CheckInDataset
-from ..parallel import DEFAULT_GRAD_SHARDS, train_data_parallel
 from .base import SequentialRecommender, register
 
 
@@ -41,24 +40,6 @@ class STiSANRecommender(SequentialRecommender):
         workers: int = 1,
         grad_shards: Optional[int] = None,
     ) -> None:
-        if workers != 1 or grad_shards is not None:
-            # The data-parallel trainer's sharded-loss arithmetic (and
-            # its checkpoints) form their own bitwise family, so it is
-            # only selected when explicitly requested.
-            train_data_parallel(
-                self.model,
-                dataset,
-                examples,
-                config,
-                workers=workers,
-                grad_shards=(
-                    DEFAULT_GRAD_SHARDS if grad_shards is None else grad_shards
-                ),
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_every,
-                resume=resume,
-            )
-            return
         train_stisan(
             self.model,
             dataset,
@@ -67,6 +48,8 @@ class STiSANRecommender(SequentialRecommender):
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
             resume=resume,
+            workers=workers,
+            grad_shards=grad_shards,
         )
 
     def score_candidates(self, src, times, candidates, users=None) -> np.ndarray:

@@ -116,12 +116,10 @@ def cmd_train(args) -> int:
     if args.workers != 1 or args.grad_shards is not None:
         if args.model != "STiSAN":
             raise SystemExit(
-                "--workers/--grad-shards select the data-parallel trainer, "
+                "--workers/--grad-shards split training across processes, "
                 f"which only STiSAN supports; {args.model} trains single-process"
             )
-        fit_kwargs["workers"] = args.workers
-        if args.grad_shards is not None:
-            fit_kwargs["grad_shards"] = args.grad_shards
+        fit_kwargs.update(workers=args.workers, grad_shards=args.grad_shards)
     if args.checkpoint_dir or args.resume:
         if args.model != "STiSAN":
             raise SystemExit(
@@ -130,11 +128,11 @@ def cmd_train(args) -> int:
             )
         if args.resume and not args.checkpoint_dir:
             raise SystemExit("--resume requires --checkpoint-dir")
-        fit_kwargs = {
-            "checkpoint_dir": args.checkpoint_dir,
-            "checkpoint_every": args.checkpoint_every,
-            "resume": args.resume,
-        }
+        fit_kwargs.update(
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+        )
     model.fit(ds, train_examples, _train_config(args), **fit_kwargs)
     print(f"trained {args.model} in {time.time() - t0:.0f}s")
     if args.out:
@@ -471,11 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resume from the newest intact checkpoint in --checkpoint-dir")
     p.add_argument("--workers", type=int, default=1,
                    help="data-parallel worker processes (STiSAN; bitwise "
-                        "identical results for every worker count)")
+                        "identical results for every worker count at the "
+                        "same --grad-shards)")
     p.add_argument("--grad-shards", type=int, default=None,
-                   help="fixed logical gradient shard count (default 4); must "
-                        "be a multiple of --workers and is part of the "
-                        "checkpoint fingerprint")
+                   help="fixed logical gradient shard count (default 1 at "
+                        "--workers 1, else 4); must be a multiple of "
+                        "--workers and is part of the checkpoint fingerprint")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a model")

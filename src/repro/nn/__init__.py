@@ -35,14 +35,6 @@ from .quantize import (
     quantize_rows_int8,
 )
 from .rnn import GRU, GRUCell, LSTMCell, STGNCell
-from .schedulers import (
-    CosineAnnealingLR,
-    ExponentialLR,
-    LRScheduler,
-    StepLR,
-    WarmupCosineLR,
-    lr_trace,
-)
 from .serialization import load_checkpoint, save_checkpoint
 from .tensor import (
     GradArena,
@@ -110,12 +102,6 @@ __all__ = [
     "Adam",
     "AdamW",
     "FlatAdam",
-    "LRScheduler",
-    "StepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
-    "WarmupCosineLR",
-    "lr_trace",
     "save_checkpoint",
     "load_checkpoint",
 ]

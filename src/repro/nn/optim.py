@@ -260,7 +260,7 @@ class FlatAdam(Adam):
             self._flat_v[a:b] = np.asarray(v, dtype=np.float32).ravel()
 
     # ------------------------------------------------------------------
-    # Flat-gradient surface (the data-parallel trainer's contract)
+    # Flat-gradient surface (the training loop's contract)
     # ------------------------------------------------------------------
     @property
     def flat_size(self) -> int:

@@ -1,8 +1,9 @@
 """Data-parallel training with a bitwise determinism contract.
 
-``repro.parallel`` trains one model across N worker processes —
-forked replicas, shared-memory gradient exchange, a fixed-order
-reduction — such that ``workers=N`` reproduces ``workers=1`` **bitwise**
+``repro.parallel`` is the process side of
+:func:`repro.core.trainer.train_stisan`: forked replicas, shared-memory
+gradient exchange and a fixed-order reduction, such that ``workers=N``
+reproduces ``workers=1`` at the same ``grad_shards`` **bitwise**
 (parameters, loss curve, optimizer moments, checkpoint bytes) for every
 N.  See :mod:`repro.parallel.trainer` for the full design.
 """
@@ -17,16 +18,10 @@ from .state import (
     reset_inherited_state,
     world_size,
 )
-from .trainer import (
-    DEFAULT_GRAD_SHARDS,
-    DataParallelTrainer,
-    WorkerCrashError,
-    train_data_parallel,
-)
+from .trainer import DEFAULT_GRAD_SHARDS, WorkerCrashError
 
 __all__ = [
     "DEFAULT_GRAD_SHARDS",
-    "DataParallelTrainer",
     "LocalReduceBuffer",
     "SharedReduceBuffer",
     "WorkerCrashError",
@@ -39,7 +34,6 @@ __all__ = [
     "reduce_shard_losses",
     "reset_inherited_state",
     "shard_bounds",
-    "train_data_parallel",
     "validate_world",
     "world_size",
 ]

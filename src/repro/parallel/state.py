@@ -20,7 +20,8 @@ Two jobs:
   start from a clean slate or parent state leaks into child telemetry
   and child resets corrupt parent invariants.
   :func:`reset_inherited_state` scrubs all of it in one place; the
-  data-parallel trainer calls it first thing in every worker.
+  forked ranks of :class:`repro.parallel.trainer.RankGroup` call it
+  first thing.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Data-parallel training: the bitwise-determinism battery.
 
-The contract under test (``repro.parallel``): ``workers=N`` is
-**bitwise identical** to ``workers=1`` — final parameters, loss curve,
-``FlatAdam`` moments and checkpoint bytes — for every N, because the
-gradient arithmetic is a function of the fixed logical shard
-decomposition, never of the worker count.  The suites here prove it
+The contract under test (``train_stisan`` with ``repro.parallel``):
+at a fixed ``grad_shards``, ``workers=N`` is **bitwise identical** to
+``workers=1`` — final parameters, loss curve, ``FlatAdam`` moments and
+checkpoint bytes — for every N, because the gradient arithmetic is a
+function of the fixed logical shard decomposition, never of the worker
+count.  The suites here prove it
 for workers ∈ {1, 2, 4} including ragged last batches and the B < N
 degenerate case, across kill-and-resume at *different* worker counts,
 and under seeded chaos with per-rank fault streams.
@@ -14,15 +15,18 @@ tests that only need one multi-worker leg honor that variable so both
 the in-process path and the forked path get exercised per leg.
 """
 
+import gc
 import importlib
 import os
+import weakref
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core import STiSANConfig, TrainConfig, validation_split
-from repro.core.checkpoint import checkpoint_paths
+from repro.core.checkpoint import TrainerCheckpoint, checkpoint_paths
 from repro.core.stisan import STiSAN
 from repro.core.trainer import train_stisan
 from repro.data import partition
@@ -34,6 +38,7 @@ from repro.nn.module import Parameter
 # repro.nn re-exports a function named ``tensor`` that shadows the
 # submodule attribute; the module object must come from the import system.
 _tensor = importlib.import_module("repro.nn.tensor")
+_trainer = importlib.import_module("repro.core.trainer")
 from repro.nn.optim import Adam, FlatAdam
 from repro.nn.serialization import CheckpointError
 from repro.obs import (
@@ -46,7 +51,7 @@ from repro.obs import (
 )
 from repro.obs import spans as _spans
 from repro.parallel import (
-    DataParallelTrainer,
+    DEFAULT_GRAD_SHARDS,
     clip_flat_grad_norm,
     current_rank,
     install_rank,
@@ -56,7 +61,6 @@ from repro.parallel import (
     reduce_shard_losses,
     reset_inherited_state,
     shard_bounds,
-    train_data_parallel,
     validate_world,
     world_size,
 )
@@ -92,14 +96,24 @@ def assert_params_equal(a, b, equal_nan=False):
         )
 
 
-def run_parallel(dataset, train, config, workers, **kwargs):
-    """One full training run; returns (model, result, trainer)."""
+def run_parallel(dataset, train, config, workers,
+                 grad_shards=DEFAULT_GRAD_SHARDS, **kwargs):
+    """One full training run at a fixed shard count; returns (model,
+    result, optimizer) — the root rank's ``FlatAdam``."""
     model = fresh_model(dataset)
-    trainer = DataParallelTrainer(
-        model, dataset, train, config, workers=workers, **kwargs
-    )
-    result = trainer.train()
-    return model, result, trainer
+    optimizers = []
+
+    class RecordingFlatAdam(FlatAdam):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            optimizers.append(self)
+
+    with mock.patch.object(_trainer, "FlatAdam", RecordingFlatAdam):
+        result = train_stisan(
+            model, dataset, train, config,
+            workers=workers, grad_shards=grad_shards, **kwargs,
+        )
+    return model, result, optimizers[0]
 
 
 # ----------------------------------------------------------------------
@@ -238,11 +252,11 @@ class TestBitwiseAcrossWorkerCounts:
             run_parallel(dataset, train, config, workers, **kwargs)
             for workers in worker_counts
         ]
-        ref_model, ref_result, ref_trainer = runs[0]
-        for model, result, trainer in runs[1:]:
+        ref_model, ref_result, ref_optimizer = runs[0]
+        for model, result, optimizer in runs[1:]:
             assert result.epoch_losses == ref_result.epoch_losses
             assert_params_equal(ref_model.state_dict(), model.state_dict())
-            ref_state, state = ref_trainer._optimizer.state_dict(), trainer._optimizer.state_dict()
+            ref_state, state = ref_optimizer.state_dict(), optimizer.state_dict()
             assert state["t"] == ref_state["t"]
             for ref_m, m in zip(ref_state["m"], state["m"]):
                 assert np.array_equal(ref_m, m)
@@ -398,9 +412,9 @@ class TestCheckpointsAcrossWorkerCounts:
     def test_sequential_trainer_refuses_parallel_checkpoint(
         self, training_setup, tmp_path
     ):
-        """The parallel fingerprint carries grad_shards; the sequential
-        trainer must refuse it (different gradient arithmetic) rather
-        than silently resume."""
+        """A split-batch checkpoint's fingerprint carries grad_shards; a
+        one-shard run must refuse it (different gradient arithmetic and
+        dropout streams) rather than silently resume."""
         dataset, train, config = training_setup
         ckpt_dir = tmp_path / "parallel"
         run_parallel(dataset, train, config, 1,
@@ -579,24 +593,96 @@ class TestTrainerValidation:
         dataset, train, config = training_setup
         model = fresh_model(dataset)
         with pytest.raises(ValueError, match="exceeds grad_shards"):
-            DataParallelTrainer(model, dataset, train, config, workers=8)
+            train_stisan(model, dataset, train, config, workers=8)
         with pytest.raises(ValueError, match="not divisible"):
-            DataParallelTrainer(model, dataset, train, config, workers=3)
-        with pytest.raises(ValueError, match="barrier_timeout"):
-            DataParallelTrainer(
-                model, dataset, train, config, workers=1, barrier_timeout=0
-            )
+            train_stisan(model, dataset, train, config, workers=3)
         with pytest.raises(ValueError, match="checkpoint_dir"):
-            DataParallelTrainer(
-                model, dataset, train, config, workers=1, checkpoint_every=2
-            )
+            train_stisan(model, dataset, train, config, checkpoint_every=2)
         with pytest.raises(ValueError, match="resume"):
-            DataParallelTrainer(
-                model, dataset, train, config, workers=1, resume=True
-            )
+            train_stisan(model, dataset, train, config, resume=True)
 
-    def test_train_data_parallel_wrapper(self, training_setup):
+
+# ----------------------------------------------------------------------
+# One loop: the one-shard run is the plain sequential loop
+# ----------------------------------------------------------------------
+class TestSingleShardLoop:
+    def test_loss_shard_size_is_bitwise_and_rejected_when_split(self, training_setup):
+        """The chunked loss head keeps every gradient bit at one shard;
+        stacked on grad shards it is refused."""
+        dataset, train, config = training_setup
+        dense = fresh_model(dataset)
+        train_stisan(dense, dataset, train, config)
+        chunked = fresh_model(dataset)
+        chunked_config = TrainConfig(
+            epochs=config.epochs, batch_size=config.batch_size,
+            num_negatives=config.num_negatives, seed=config.seed,
+            loss_shard_size=7,
+        )
+        train_stisan(chunked, dataset, train, chunked_config)
+        assert_params_equal(dense.state_dict(), chunked.state_dict())
+        with pytest.raises(ValueError, match="loss_shard_size"):
+            train_stisan(fresh_model(dataset), dataset, train, chunked_config,
+                         grad_shards=4)
+
+    def test_step_graph_dies_before_next_forward(self, training_setup):
+        """Each step's autograd graph is garbage by the time the next
+        batch's forward starts, so two graphs are never alive at once."""
         dataset, train, config = training_setup
         model = fresh_model(dataset)
-        result = train_data_parallel(model, dataset, train, config, workers=1)
-        assert len(result.epoch_losses) == config.epochs
+        forward = model.forward_train
+        previous = []
+        alive_at_call = []
+
+        def recording_forward(*args):
+            gc.collect()
+            alive_at_call.append(sum(ref() is not None for ref in previous))
+            previous.clear()
+            outputs = forward(*args)
+            previous.extend(weakref.ref(out.data) for out in outputs)
+            return outputs
+
+        model.forward_train = recording_forward
+        train_stisan(model, dataset, train, config)
+        assert len(alive_at_call) > 1
+        assert alive_at_call == [0] * len(alive_at_call)
+
+    def test_single_shard_checkpoint_keeps_sequential_layout(
+        self, training_setup, tmp_path
+    ):
+        """One-shard checkpoints carry exactly the fingerprint and info
+        the single-process loop wrote before the loops merged (no
+        grad_shards key, no info), so those directories still resume —
+        and resume lands bitwise on the uninterrupted run."""
+        dataset, train, config = training_setup
+        baseline_model = fresh_model(dataset)
+        baseline = train_stisan(baseline_model, dataset, train, config)
+
+        ckpt_dir = tmp_path / "single"
+        with pytest.raises(SimulatedCrash):
+            with fault_injection(seed=0, crash_at_step=3):
+                train_stisan(fresh_model(dataset), dataset, train, config,
+                             checkpoint_dir=ckpt_dir, checkpoint_every=1)
+        newest = TrainerCheckpoint.load(checkpoint_paths(ckpt_dir)[0])
+        assert newest.fingerprint == {
+            "model": "STiSAN",
+            "seed": config.seed,
+            "epochs": config.epochs,
+            "batch_size": config.batch_size,
+            "learning_rate": config.learning_rate,
+            "num_negatives": config.num_negatives,
+            "negative_pool": config.negative_pool,
+            "temperature": config.temperature,
+            "grad_clip": config.grad_clip,
+            "loss_shard_size": config.loss_shard_size,
+            "num_examples": len(train),
+            "has_validation": False,
+        }
+        assert newest.info == {}
+
+        resumed_model = fresh_model(dataset)
+        resumed = train_stisan(resumed_model, dataset, train, config,
+                               checkpoint_dir=ckpt_dir, checkpoint_every=1,
+                               resume=True)
+        assert resumed.resumed_from_step == 3
+        assert resumed.epoch_losses == baseline.epoch_losses
+        assert_params_equal(baseline_model.state_dict(), resumed_model.state_dict())

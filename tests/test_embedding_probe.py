@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import geography_encoder_alignment, pairwise_alignment
+from tests.embedding_probe import geography_encoder_alignment, pairwise_alignment
 from repro.core.geo_encoder import GeographyEncoder
 from repro.geo.neighbors import latlon_to_unit_xyz
 

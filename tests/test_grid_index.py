@@ -305,7 +305,7 @@ class TestShardedLoss:
     def test_data_parallel_rejects_loss_sharding(self, tiny_dataset):
         from repro.core import STiSANConfig, TrainConfig
         from repro.core.stisan import STiSAN
-        from repro.parallel.trainer import DataParallelTrainer
+        from repro.core.trainer import train_stisan
 
         model = STiSAN(
             num_pois=tiny_dataset.num_pois,
@@ -313,9 +313,9 @@ class TestShardedLoss:
             config=STiSANConfig.small(max_len=8, poi_dim=8, geo_dim=8, num_blocks=1),
         )
         with pytest.raises(ValueError, match="loss_shard_size"):
-            DataParallelTrainer(
+            train_stisan(
                 model, tiny_dataset, [],
-                config=TrainConfig(loss_shard_size=32),
+                config=TrainConfig(loss_shard_size=32), grad_shards=4,
             )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.schedulers import (
+from tests.lr_schedulers import (
     CosineAnnealingLR,
     ExponentialLR,
     StepLR,
